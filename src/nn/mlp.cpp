@@ -1,7 +1,9 @@
 #include "nn/mlp.hpp"
 
+#include <array>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace mmog::nn {
 
@@ -12,6 +14,10 @@ Mlp::Mlp(std::vector<std::size_t> layer_sizes, util::Rng& rng)
   }
   for (std::size_t s : layer_sizes_) {
     if (s == 0) throw std::invalid_argument("Mlp: zero-size layer");
+    if (s > kMaxLayerWidth) {
+      throw std::invalid_argument("Mlp: layer wider than kMaxLayerWidth (" +
+                                  std::to_string(kMaxLayerWidth) + ")");
+    }
   }
   layers_.resize(layer_sizes_.size() - 1);
   for (std::size_t l = 0; l < layers_.size(); ++l) {
@@ -61,6 +67,31 @@ std::vector<double> Mlp::forward(std::span<const double> input) const {
   std::vector<std::vector<double>> acts;
   forward_recording(input, acts);
   return acts.back();
+}
+
+double Mlp::forward_one(std::span<const double> input) const {
+  if (input.size() != input_size() || output_size() != 1) {
+    throw std::invalid_argument("Mlp::forward_one: wrong input/output size");
+  }
+  // mmog-lint: hot-begin(neural)
+  std::array<double, kMaxLayerWidth> front{};
+  std::array<double, kMaxLayerWidth> back{};
+  const double* prev = input.data();
+  double* next = front.data();
+  for (std::size_t l = 0; l < layers_.size(); ++l) {
+    const Layer& layer = layers_[l];
+    const bool is_output = (l + 1 == layers_.size());
+    for (std::size_t o = 0; o < layer.out; ++o) {
+      double z = layer.biases[o];
+      const double* wrow = &layer.weights[o * layer.in];
+      for (std::size_t i = 0; i < layer.in; ++i) z += wrow[i] * prev[i];
+      next[o] = is_output ? z : std::tanh(z);
+    }
+    prev = next;
+    next = (next == front.data()) ? back.data() : front.data();
+  }
+  return prev[0];
+  // mmog-lint: hot-end
 }
 
 double Mlp::train_step(std::span<const double> input,

@@ -8,6 +8,10 @@
 
 namespace mmog::nn {
 
+/// Widest layer an Mlp accepts: forward_one() runs the network over
+/// fixed-size stack buffers of this many activations.
+inline constexpr std::size_t kMaxLayerWidth = 64;
+
 /// A small fully-connected multi-layer perceptron with tanh hidden units and
 /// a linear output layer, trained with stochastic back-propagation.
 ///
@@ -19,7 +23,8 @@ class Mlp {
  public:
   /// Builds the network with the given layer sizes (first = inputs,
   /// last = outputs) and Xavier-style random initial weights.
-  /// Throws std::invalid_argument for fewer than two layers or a zero size.
+  /// Throws std::invalid_argument for fewer than two layers, a zero size or
+  /// a size above kMaxLayerWidth.
   Mlp(std::vector<std::size_t> layer_sizes, util::Rng& rng);
 
   /// Number of inputs / outputs.
@@ -36,6 +41,12 @@ class Mlp {
 
   /// Forward pass. `input.size()` must equal input_size().
   std::vector<double> forward(std::span<const double> input) const;
+
+  /// Allocation-free forward pass of a single-output network over fixed
+  /// stack buffers, with forward()'s arithmetic: it equals forward(input)[0]
+  /// bit for bit. Throws std::invalid_argument unless `input.size()` equals
+  /// input_size() and output_size() is 1.
+  double forward_one(std::span<const double> input) const;
 
   /// One step of back-propagation towards `target` with learning rate `lr`
   /// and classical momentum. Returns the squared error before the update.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace mmog::nn {
 
@@ -68,18 +69,95 @@ PolynomialSmoother::PolynomialSmoother(std::size_t degree, std::size_t window)
   if (window_ <= degree_) {
     throw std::invalid_argument("PolynomialSmoother: window must exceed degree");
   }
+  if (degree_ > kMaxSmootherDegree) {
+    throw std::invalid_argument(
+        "PolynomialSmoother: degree exceeds kMaxSmootherDegree (" +
+        std::to_string(kMaxSmootherDegree) + ")");
+  }
+  if (window_ > kMaxSmootherWindow) {
+    throw std::invalid_argument(
+        "PolynomialSmoother: window exceeds kMaxSmootherWindow (" +
+        std::to_string(kMaxSmootherWindow) + ")");
+  }
+  const std::size_t m = degree_ + 1;
+  powers_.resize(window_ * m);
+  for (std::size_t s = 0; s < window_; ++s) {
+    double xp = 1.0;
+    for (std::size_t p = 0; p < m; ++p) {
+      powers_[s * m + p] = xp;
+      xp *= static_cast<double>(s);
+    }
+  }
+  // The rest of polyfit up to its back-substitution, for each n, with every
+  // operation on b recorded instead of performed.
+  eliminations_.resize(window_ - degree_);
+  for (std::size_t n = m; n <= window_; ++n) {
+    std::array<double, 2 * kMaxTerms - 1> powersums{};
+    for (std::size_t s = 0; s < n; ++s) {
+      double xp = 1.0;
+      for (std::size_t p = 0; p < 2 * m - 1; ++p) {
+        powersums[p] += xp;
+        xp *= static_cast<double>(s);
+      }
+    }
+    Elimination& e = eliminations_[n - m];
+    auto& a = e.upper;
+    for (std::size_t i = 0; i < m; ++i) {
+      for (std::size_t j = 0; j < m; ++j) a[i * m + j] = powersums[i + j];
+    }
+    for (std::size_t col = 0; col < m; ++col) {
+      std::size_t pivot = col;
+      for (std::size_t r = col + 1; r < m; ++r) {
+        if (std::abs(a[r * m + col]) > std::abs(a[pivot * m + col])) pivot = r;
+      }
+      e.pivot[col] = pivot;
+      if (pivot != col) {
+        std::swap_ranges(a.begin() + col * m, a.begin() + col * m + m,
+                         a.begin() + pivot * m);
+      }
+      const double diag = a[col * m + col];
+      if (std::abs(diag) < 1e-12) {
+        throw std::invalid_argument("PolynomialSmoother: singular system");
+      }
+      for (std::size_t r = col + 1; r < m; ++r) {
+        const double f = a[r * m + col] / diag;
+        for (std::size_t c = col; c < m; ++c) a[r * m + c] -= f * a[col * m + c];
+        e.factor[col * m + r] = f;
+      }
+    }
+  }
 }
 
-double PolynomialSmoother::smooth_last(std::span<const double> recent) const {
+// mmog-lint: hot-begin(neural)
+double PolynomialSmoother::smooth_last(
+    std::span<const double> recent) const noexcept {
   if (recent.empty()) return 0.0;
   if (recent.size() <= degree_) return recent.back();
   const std::size_t n = std::min(window_, recent.size());
-  const auto tail = recent.subspan(recent.size() - n, n);
-  std::vector<double> xs(n);
-  for (std::size_t i = 0; i < n; ++i) xs[i] = static_cast<double>(i);
-  const auto coeffs = polyfit(xs, tail, degree_);
-  return polyval(coeffs, static_cast<double>(n - 1));
+  const double* tail = recent.data() + (recent.size() - n);
+  const std::size_t m = degree_ + 1;
+  const Elimination& e = eliminations_[n - m];
+  // b[p] = sum y_s * s^p, accumulated in polyfit's order.
+  std::array<double, kMaxTerms> b{};
+  for (std::size_t s = 0; s < n; ++s) {
+    for (std::size_t p = 0; p < m; ++p) b[p] += tail[s] * powers_[s * m + p];
+  }
+  for (std::size_t col = 0; col < m; ++col) {
+    std::swap(b[col], b[e.pivot[col]]);
+    for (std::size_t r = col + 1; r < m; ++r) {
+      b[r] -= e.factor[col * m + r] * b[col];
+    }
+  }
+  std::array<double, kMaxTerms> coeffs{};
+  for (std::size_t i = m; i-- > 0;) {
+    double s = b[i];
+    for (std::size_t j = i + 1; j < m; ++j) s -= e.upper[i * m + j] * coeffs[j];
+    coeffs[i] = s / e.upper[i * m + i];
+  }
+  return polyval(std::span<const double>(coeffs.data(), m),
+                 static_cast<double>(n - 1));
 }
+// mmog-lint: hot-end
 
 std::vector<double> PolynomialSmoother::smooth_series(
     std::span<const double> xs) const {

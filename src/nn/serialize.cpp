@@ -2,6 +2,7 @@
 
 #include <iomanip>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <stdexcept>
 #include <string>
@@ -12,7 +13,8 @@ namespace mmog::nn {
 
 namespace {
 constexpr const char* kMagic = "mmog-mlp-v1";
-}
+constexpr std::size_t kMaxLayers = 64;
+}  // namespace
 
 void save_mlp(std::ostream& out, const Mlp& net) {
   out << kMagic << '\n';
@@ -34,17 +36,28 @@ Mlp load_mlp(std::istream& in) {
     throw std::runtime_error("load_mlp: bad magic");
   }
   std::size_t n_layers = 0;
-  if (!(in >> n_layers) || n_layers < 2 || n_layers > 64) {
+  if (!(in >> n_layers) || n_layers < 2 || n_layers > kMaxLayers) {
     throw std::runtime_error("load_mlp: bad layer count");
   }
   std::vector<std::size_t> sizes(n_layers);
   for (auto& s : sizes) {
-    if (!(in >> s) || s == 0) {
-      throw std::runtime_error("load_mlp: bad layer size");
+    if (!(in >> s) || s == 0 || s > kMaxLayerWidth) {
+      throw std::runtime_error("load_mlp: bad layer size (must be 1.." +
+                               std::to_string(kMaxLayerWidth) + ")");
     }
+  }
+  // Bounded layer count and widths keep this sum far below SIZE_MAX.
+  static_assert(kMaxLayers * (kMaxLayerWidth + 1) * kMaxLayerWidth <
+                std::numeric_limits<std::size_t>::max() / 2);
+  std::size_t expected = 0;
+  for (std::size_t l = 0; l + 1 < n_layers; ++l) {
+    expected += (sizes[l] + 1) * sizes[l + 1];
   }
   std::size_t n_params = 0;
   if (!(in >> n_params)) throw std::runtime_error("load_mlp: bad param count");
+  if (n_params != expected) {
+    throw std::runtime_error("load_mlp: parameter count mismatch");
+  }
   std::vector<double> params(n_params);
   for (auto& p : params) {
     if (!(in >> p)) throw std::runtime_error("load_mlp: truncated parameters");
@@ -52,9 +65,6 @@ Mlp load_mlp(std::istream& in) {
   // Placeholder init only — set_parameters() below overwrites every weight.
   util::Rng rng(0);  // mmog-lint: allow(seed-literal)
   Mlp net(std::move(sizes), rng);
-  if (net.parameter_count() != n_params) {
-    throw std::runtime_error("load_mlp: parameter count mismatch");
-  }
   net.set_parameters(params);
   return net;
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <iomanip>
 #include <istream>
 #include <ostream>
@@ -12,6 +13,35 @@
 #include "util/rng.hpp"
 
 namespace mmog::predict {
+
+namespace {
+
+/// Empty when `config` fits the fixed-size inference buffers, otherwise
+/// which field is out of bounds.
+std::string config_bound_error(const NeuralConfig& config) {
+  const auto width = std::to_string(nn::kMaxLayerWidth);
+  if (config.input_window == 0) return "input_window == 0";
+  if (config.input_window > nn::kMaxLayerWidth) {
+    return "input_window exceeds " + width;
+  }
+  if (config.hidden_units == 0 || config.hidden_units > nn::kMaxLayerWidth) {
+    return "hidden_units must be 1.." + width;
+  }
+  if (config.smoother_degree > nn::kMaxSmootherDegree) {
+    return "smoother_degree exceeds " +
+           std::to_string(nn::kMaxSmootherDegree);
+  }
+  if (config.smoother_window <= config.smoother_degree) {
+    return "smoother_window must exceed smoother_degree";
+  }
+  if (config.smoother_window > kMaxNeuralContext - config.input_window) {
+    return "input_window + smoother_window exceeds " +
+           std::to_string(kMaxNeuralContext);
+  }
+  return {};
+}
+
+}  // namespace
 
 NeuralModel::NeuralModel(NeuralConfig config, nn::Mlp net,
                          nn::MinMaxNormalizer normalizer, double delta_scale,
@@ -25,8 +55,8 @@ NeuralModel::NeuralModel(NeuralConfig config, nn::Mlp net,
 
 NeuralModel NeuralModel::fit(const NeuralConfig& config,
                              std::span<const util::TimeSeries> histories) {
-  if (config.input_window == 0) {
-    throw std::invalid_argument("NeuralModel: input_window == 0");
+  if (const auto error = config_bound_error(config); !error.empty()) {
+    throw std::invalid_argument("NeuralModel: " + error);
   }
   // Global normalization range over all collected samples.
   nn::MinMaxNormalizer normalizer;
@@ -99,33 +129,46 @@ NeuralModel NeuralModel::fit(const NeuralConfig& config,
 }
 
 double NeuralModel::predict_next(std::span<const double> recent) const {
-  if (recent.empty()) return 0.0;
+  return predict_next(recent, {});
+}
+
+// mmog-lint: hot-begin(neural)
+double NeuralModel::predict_next(std::span<const double> older,
+                                 std::span<const double> newer) const {
+  const std::size_t size = older.size() + newer.size();
+  if (size == 0) return 0.0;
+  // Logical oldest-first index into the split history.
+  const auto at = [&](std::size_t i) {
+    return i < older.size() ? older[i] : newer[i - older.size()];
+  };
   // Reproduce the training-time features exactly: each of the input_window
   // samples is smoothed over its own trailing smoother window. Left-pad with
   // the earliest available value when the history is short.
-  const std::size_t context = config_.input_window + config_.smoother_window;
-  std::vector<double> padded(context, recent.front());
-  const std::size_t n = std::min(recent.size(), context);
-  for (std::size_t k = 0; k < n; ++k) {
-    padded[context - n + k] = recent[recent.size() - n + k];
-  }
-  std::vector<double> in(config_.input_window);
+  const std::size_t ctx = context();
+  std::array<double, kMaxNeuralContext> padded{};
+  const std::size_t n = std::min(size, ctx);
+  std::fill_n(padded.begin(), ctx - n, at(0));
+  for (std::size_t k = 0; k < n; ++k) padded[ctx - n + k] = at(size - n + k);
+  std::array<double, nn::kMaxLayerWidth> in{};
   for (std::size_t k = 0; k < config_.input_window; ++k) {
-    const std::size_t end = context - config_.input_window + k + 1;
+    const std::size_t end = ctx - config_.input_window + k + 1;
     const double smoothed = smoother_.smooth_last(
         std::span<const double>(padded.data(), end));
     in[k] = normalizer_.transform(smoothed);
   }
+  const double last = at(size - 1);
   if (config_.include_raw_input) {
-    in.back() = normalizer_.transform(recent.back());
+    in[config_.input_window - 1] = normalizer_.transform(last);
   }
-  const auto out = net_.forward(in);
+  const double out = net_.forward_one(
+      std::span<const double>(in.data(), config_.input_window));
   // Entity counts are non-negative.
   if (config_.predict_delta) {
-    return std::max(0.0, recent.back() + out[0] * delta_scale_);
+    return std::max(0.0, last + out * delta_scale_);
   }
-  return std::max(0.0, normalizer_.inverse(out[0]));
+  return std::max(0.0, normalizer_.inverse(out));
 }
+// mmog-lint: hot-end
 
 namespace {
 constexpr const char* kNeuralMagic = "mmog-neural-v1";
@@ -173,6 +216,9 @@ NeuralModel NeuralModel::load(std::istream& in) {
     throw std::runtime_error("NeuralModel::load: truncated train config");
   }
   config.train.shuffle = shuffle != 0;
+  if (const auto error = config_bound_error(config); !error.empty()) {
+    throw std::runtime_error("NeuralModel::load: " + error);
+  }
   double lo = 0.0;
   double hi = 1.0;
   double delta_scale = 1.0;
@@ -202,22 +248,18 @@ NeuralModel NeuralModel::load(std::istream& in) {
 }
 
 NeuralPredictor::NeuralPredictor(std::shared_ptr<const NeuralModel> model)
-    : model_(std::move(model)) {
+    : model_(std::move(model)), history_(model_ ? model_->context() : 1) {
   if (!model_) throw std::invalid_argument("NeuralPredictor: null model");
 }
 
-void NeuralPredictor::observe(double value) {
-  history_.push_back(value);
-  const std::size_t keep =
-      model_->config().input_window + model_->config().smoother_window;
-  while (history_.size() > keep) history_.pop_front();
-}
+// mmog-lint: hot-begin(neural)
+void NeuralPredictor::observe(double value) { history_.push(value); }
 
 double NeuralPredictor::predict() const {
   if (history_.empty()) return 0.0;
-  const std::vector<double> recent(history_.begin(), history_.end());
-  return model_->predict_next(recent);
+  return model_->predict_next(history_.first(), history_.second());
 }
+// mmog-lint: hot-end
 
 std::unique_ptr<Predictor> NeuralPredictor::make_fresh() const {
   return std::make_unique<NeuralPredictor>(model_);
@@ -225,20 +267,32 @@ std::unique_ptr<Predictor> NeuralPredictor::make_fresh() const {
 
 void NeuralPredictor::save_state(std::vector<double>& out) const {
   out.push_back(static_cast<double>(history_.size()));
-  out.insert(out.end(), history_.begin(), history_.end());
+  const auto older = history_.first();
+  const auto newer = history_.second();
+  out.insert(out.end(), older.begin(), older.end());
+  out.insert(out.end(), newer.begin(), newer.end());
 }
 
 void NeuralPredictor::load_state(std::span<const double> in) {
   if (in.empty()) {
     throw std::invalid_argument("NeuralPredictor: bad state size");
   }
-  const auto n = static_cast<std::size_t>(in[0]);
-  const std::size_t keep =
-      model_->config().input_window + model_->config().smoother_window;
-  if (n > keep || in.size() != 1 + n) {
+  // Range-check the size word as a double: casting a NaN, negative or
+  // out-of-range double to size_t is undefined behaviour.
+  const double size_word = in[0];
+  if (!(size_word >= 0.0 &&
+        size_word <= static_cast<double>(history_.capacity())) ||
+      size_word != std::floor(size_word)) {
+    throw std::invalid_argument(
+        "NeuralPredictor: state size word is not a whole number in "
+        "[0, context]");
+  }
+  const auto n = static_cast<std::size_t>(size_word);
+  if (in.size() != 1 + n) {
     throw std::invalid_argument("NeuralPredictor: bad state size");
   }
-  history_.assign(in.begin() + 1, in.end());
+  history_.clear();
+  for (std::size_t i = 0; i < n; ++i) history_.push(in[1 + i]);
 }
 
 }  // namespace mmog::predict

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <deque>
 #include <iosfwd>
 #include <memory>
 #include <span>
@@ -10,13 +9,21 @@
 #include "nn/preprocess.hpp"
 #include "nn/train.hpp"
 #include "predict/predictor.hpp"
+#include "util/ring_buffer.hpp"
 #include "util/timeseries.hpp"
 
 namespace mmog::predict {
 
+/// Longest context (input_window + smoother_window) a NeuralModel accepts:
+/// predict_next pads it in a fixed-size stack array.
+inline constexpr std::size_t kMaxNeuralContext = 128;
+
 /// Configuration of the paper's neural predictor (§IV-C): a three-layer
 /// (6,3,1) MLP fed through polynomial signal preprocessors and min-max
 /// normalization, trained offline on collected entity-count samples.
+/// input_window and hidden_units may not exceed nn::kMaxLayerWidth,
+/// smoother_degree nn::kMaxSmootherDegree, and input_window +
+/// smoother_window kMaxNeuralContext.
 struct NeuralConfig {
   std::size_t input_window = 6;   ///< past samples fed to the network
   std::size_t hidden_units = 3;   ///< hidden-layer width
@@ -46,7 +53,8 @@ class NeuralModel {
   /// Runs the two offline phases on the collected per-zone histories:
   /// assembles (window -> next) samples from every series, splits
   /// train/test, and trains to convergence. Throws std::invalid_argument
-  /// when the histories are too short to form a single sample.
+  /// naming the field when the config is out of bounds, and when the
+  /// histories are too short to form a single sample.
   static NeuralModel fit(const NeuralConfig& config,
                          std::span<const util::TimeSeries> histories);
 
@@ -57,6 +65,17 @@ class NeuralModel {
   /// Predicts the next value from the most recent raw samples (at least
   /// one; shorter-than-window inputs are left-padded with the first value).
   double predict_next(std::span<const double> recent) const;
+
+  /// Same prediction over a history split into two contiguous pieces whose
+  /// logical concatenation is `older` then `newer` — the shape a wrapped
+  /// util::RingBuffer exposes. Allocation-free.
+  double predict_next(std::span<const double> older,
+                      std::span<const double> newer) const;
+
+  /// Raw samples a prediction reads: input_window + smoother_window.
+  std::size_t context() const noexcept {
+    return config_.input_window + config_.smoother_window;
+  }
 
   const NeuralConfig& config() const noexcept { return config_; }
   const nn::TrainResult& train_result() const noexcept { return result_; }
@@ -69,7 +88,8 @@ class NeuralModel {
   void save(std::ostream& out) const;
 
   /// Reads a model written by save(); restoring skips the offline training
-  /// phase entirely. Throws std::runtime_error on a malformed stream.
+  /// phase entirely. Throws std::runtime_error on a malformed stream or an
+  /// out-of-bounds config.
   static NeuralModel load(std::istream& in);
 
  private:
@@ -87,7 +107,9 @@ class NeuralModel {
 
 /// Online per-zone wrapper around a shared trained NeuralModel. Before any
 /// observation it predicts 0; with fewer samples than the input window it
-/// pads, matching NeuralModel::predict_next.
+/// pads, matching NeuralModel::predict_next. The recent samples live in a
+/// ring buffer of NeuralModel::context() slots, so observe() and predict()
+/// are allocation-free.
 class NeuralPredictor final : public Predictor {
  public:
   explicit NeuralPredictor(std::shared_ptr<const NeuralModel> model);
@@ -96,12 +118,14 @@ class NeuralPredictor final : public Predictor {
   void observe(double value) override;
   double predict() const override;
   std::unique_ptr<Predictor> make_fresh() const override;
+  /// Writes [size, oldest..newest]. load_state rejects a size word that is
+  /// not a whole number in [0, context()].
   void save_state(std::vector<double>& out) const override;
   void load_state(std::span<const double> in) override;
 
  private:
   std::shared_ptr<const NeuralModel> model_;
-  std::deque<double> history_;
+  util::RingBuffer<double> history_;
 };
 
 }  // namespace mmog::predict

@@ -14,6 +14,8 @@ TEST(MlpTest, RejectsDegenerateArchitectures) {
   util::Rng rng(1);
   EXPECT_THROW(Mlp({5}, rng), std::invalid_argument);
   EXPECT_THROW(Mlp({3, 0, 1}, rng), std::invalid_argument);
+  EXPECT_THROW(Mlp({3, kMaxLayerWidth + 1, 1}, rng), std::invalid_argument);
+  EXPECT_NO_THROW(Mlp({kMaxLayerWidth, kMaxLayerWidth, 1}, rng));
 }
 
 TEST(MlpTest, PaperStructureHasExpectedParameterCount) {
@@ -30,6 +32,32 @@ TEST(MlpTest, ForwardRejectsWrongInputSize) {
   Mlp net({3, 2}, rng);
   const std::vector<double> wrong = {1.0, 2.0};
   EXPECT_THROW(net.forward(wrong), std::invalid_argument);
+}
+
+// The stack forward pass must be forward() to the last bit, at the paper's
+// (6,3,1) shape, deeper nets and the widest allowed layers.
+TEST(MlpTest, ForwardOneEqualsForwardBitForBit) {
+  util::Rng rng(4);
+  const std::vector<std::vector<std::size_t>> shapes = {
+      {6, 3, 1}, {1, 1}, {4, 8, 5, 1}, {kMaxLayerWidth, kMaxLayerWidth, 1}};
+  for (const auto& shape : shapes) {
+    Mlp net(shape, rng);
+    std::vector<double> in(shape.front());
+    for (int trial = 0; trial < 50; ++trial) {
+      for (auto& x : in) x = rng.uniform(-1.5, 1.5);
+      EXPECT_EQ(net.forward_one(in), net.forward(in)[0]);
+    }
+  }
+}
+
+TEST(MlpTest, ForwardOneRejectsWrongSizes) {
+  util::Rng rng(5);
+  const Mlp single({3, 2, 1}, rng);
+  EXPECT_THROW(single.forward_one(std::vector<double>{1.0, 2.0}),
+               std::invalid_argument);
+  const Mlp multi({2, 2}, rng);
+  EXPECT_THROW(multi.forward_one(std::vector<double>{1.0, 2.0}),
+               std::invalid_argument);
 }
 
 TEST(MlpTest, ForwardIsDeterministic) {

@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -80,6 +84,65 @@ TEST(SmootherTest, ReducesNoiseVariance) {
     smooth_dev += std::abs(smoothed[t] - 100.0);
   }
   EXPECT_LT(smooth_dev, raw_dev * 0.7);
+}
+
+// smooth_last replays polyfit's elimination recorded at construction; it must
+// match the direct polyfit + polyval fit to the last bit, for every window
+// length it can see, including degree 0 and the largest allowed degree.
+TEST(PolynomialSmootherTest, SmoothLastEqualsPolyfitOracleBitForBit) {
+  const std::pair<std::size_t, std::size_t> shapes[] = {
+      {0, 1}, {0, 6}, {1, 4}, {2, 5}, {2, 9}, {3, 12},
+      {kMaxSmootherDegree, kMaxSmootherDegree + 1},
+      {kMaxSmootherDegree, 24}};
+  util::Rng rng(11);
+  for (const auto& [degree, window] : shapes) {
+    const PolynomialSmoother s(degree, window);
+    for (int trial = 0; trial < 20; ++trial) {
+      // Player-count-like levels with noise, plus signed values.
+      std::vector<double> ys(window + 3);
+      const double level = rng.uniform(-50.0, 2.0e4);
+      for (auto& y : ys) y = level + rng.normal(0.0, 0.05 * level + 1.0);
+      for (std::size_t n = degree + 1; n <= window; ++n) {
+        const std::span<const double> tail(ys.data(), n);
+        std::vector<double> xs(n);
+        for (std::size_t i = 0; i < n; ++i) xs[i] = static_cast<double>(i);
+        const double oracle =
+            polyval(polyfit(xs, tail, degree), static_cast<double>(n - 1));
+        EXPECT_EQ(s.smooth_last(tail), oracle)
+            << "degree " << degree << " window " << window << " n " << n;
+      }
+      // Longer inputs use only their last `window` samples.
+      std::vector<double> xs(window);
+      for (std::size_t i = 0; i < window; ++i) xs[i] = static_cast<double>(i);
+      const std::span<const double> last(ys.data() + 3, window);
+      EXPECT_EQ(s.smooth_last(ys), polyval(polyfit(xs, last, degree),
+                                           static_cast<double>(window - 1)));
+      // Inputs no longer than the degree pass through.
+      for (std::size_t n = 1; n <= degree; ++n) {
+        EXPECT_EQ(s.smooth_last(std::span<const double>(ys.data(), n)),
+                  ys[n - 1]);
+      }
+    }
+  }
+}
+
+TEST(PolynomialSmootherTest, RejectsOutOfBoundShapesByName) {
+  const auto message = [](std::size_t degree, std::size_t window) {
+    try {
+      PolynomialSmoother s(degree, window);
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  EXPECT_NE(message(kMaxSmootherDegree + 1, kMaxSmootherDegree + 2)
+                .find("kMaxSmootherDegree"),
+            std::string::npos);
+  EXPECT_NE(message(2, kMaxSmootherWindow + 1).find("kMaxSmootherWindow"),
+            std::string::npos);
+  EXPECT_NE(message(3, 3).find("window must exceed degree"),
+            std::string::npos);
+  EXPECT_EQ(message(kMaxSmootherDegree, kMaxSmootherWindow), "accepted");
 }
 
 TEST(SmootherTest, SmoothSeriesIsCausal) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "util/rng.hpp"
 
@@ -60,6 +62,28 @@ TEST(SerializeTest, RejectsParameterCountMismatch) {
   std::stringstream buffer("mmog-mlp-v1\n2 2 1\n5\n1 2 3 4 5\n");
   // A (2,1) net has 2 weights + 1 bias = 3 parameters, not 5.
   EXPECT_THROW(load_mlp(buffer), std::runtime_error);
+}
+
+TEST(SerializeTest, RejectsLayerWiderThanForwardBound) {
+  const auto width = std::to_string(kMaxLayerWidth + 1);
+  std::stringstream buffer("mmog-mlp-v1\n2 " + width + " 1\n" +
+                           std::to_string(kMaxLayerWidth + 2) + "\n");
+  EXPECT_THROW(load_mlp(buffer), std::runtime_error);
+  std::stringstream negative("mmog-mlp-v1\n2 -1 1\n0\n");
+  EXPECT_THROW(load_mlp(negative), std::runtime_error);
+}
+
+// The count is checked against the layer sizes before anything is sized
+// from it: a huge count is a named mismatch, not an allocation attempt.
+TEST(SerializeTest, RejectsParameterCountBeforeAllocating) {
+  std::stringstream buffer("mmog-mlp-v1\n2 2 1\n18446744073709551615\n");
+  try {
+    load_mlp(buffer);
+    FAIL() << "accepted a parameter count of SIZE_MAX";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("parameter count mismatch"),
+              std::string::npos);
+  }
 }
 
 }  // namespace

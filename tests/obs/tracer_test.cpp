@@ -8,6 +8,8 @@
 #include <stdexcept>
 #include <string>
 
+#include <unistd.h>
+
 namespace mmog::obs {
 namespace {
 
@@ -119,8 +121,12 @@ TEST(TracerTest, NowIsMonotonicNonNegative) {
 
 class TempTracePath {
  public:
+  // One file per test and process, so parallel ctest runs never share it.
   TempTracePath() {
-    path_ = ::testing::TempDir() + "mmog_trace_guard_test.jsonl";
+    const auto* info =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    path_ = ::testing::TempDir() + "mmog_trace_guard_" + info->name() +
+            "_" + std::to_string(::getpid()) + ".jsonl";
     std::remove(path_.c_str());
   }
   ~TempTracePath() { std::remove(path_.c_str()); }

@@ -20,8 +20,12 @@
 namespace mmog::predict {
 namespace {
 
+// gtest prints a parameter without operator<< as its raw bytes, and the
+// instance names ctest discovers carry that print. The name is stored inline
+// so those bytes open with the name itself rather than with a heap pointer,
+// which would make the names differ from run to run.
 struct PredictorCase {
-  std::string name;
+  char name[32];
   PredictorFactory factory;
 };
 
@@ -135,7 +139,9 @@ TEST_P(PredictorContract, BoundedErrorOnSlowSinusoid) {
 
 INSTANTIATE_TEST_SUITE_P(AllPredictors, PredictorContract,
                          ::testing::ValuesIn(all_predictors()),
-                         [](const auto& info) { return info.param.name; });
+                         [](const auto& info) {
+                           return std::string(info.param.name);
+                         });
 
 }  // namespace
 }  // namespace mmog::predict

@@ -12,6 +12,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "util/srclint.hpp"
 
 namespace mmog::util::lint {
@@ -32,7 +34,13 @@ void write(const fs::path& path, const std::string& content) {
 class SrcLintArchTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    root_ = fs::path(::testing::TempDir()) / "srclint_fixture";
+    // One tree per test and process: ctest runs each test as its own
+    // process, in parallel under -j, and they must not share a fixture.
+    const auto* info =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    root_ = fs::path(::testing::TempDir()) /
+            ("srclint_fixture_" + std::string(info->name()) + "_" +
+             std::to_string(::getpid()));
     fs::remove_all(root_);
     write(root_ / "src/alpha/CMakeLists.txt",
           "add_library(mmog_alpha a.cpp)\n");
